@@ -17,12 +17,14 @@
 //! The server is a **single-threaded non-blocking readiness reactor**, not
 //! a thread per connection: one thread owns the listener and every
 //! connection (each with its own read/write buffers and a partial-frame
-//! [`FrameReader`]), and each tick accepts new peers, drains readable
-//! sockets, feeds the decoded batch through the shared [`RegistryCore`]
-//! under one lock acquisition, then flushes encoded replies. That is what
-//! lets one registry hold thousands of concurrent monitor connections —
-//! the thread-per-connection design topped out on stack memory and context
-//! switches long before the scheduler core was the bottleneck.
+//! [`FrameReader`]). Each tick blocks in one `poll(2)` call until a
+//! socket is ready or the earliest retransmit timer is due, then accepts
+//! new peers, drains the sockets reported readable, feeds the decoded
+//! batch through the shared [`RegistryCore`] under one lock acquisition,
+//! and flushes encoded replies. That is what lets one registry hold
+//! thousands of concurrent monitor connections — the thread-per-connection
+//! design topped out on stack memory and context switches long before the
+//! scheduler core was the bottleneck.
 //!
 //! ## Framing and codecs
 //!
@@ -46,8 +48,9 @@ use ars_xmlwire::wire::{
 };
 use ars_xmlwire::{Message, BIN_PREAMBLE};
 use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -120,53 +123,13 @@ impl From<std::io::Error> for LiveError {
     }
 }
 
-/// Write one message to a stream (newline-framed XML).
-pub fn write_msg(stream: &mut impl Write, msg: &Message) -> std::io::Result<()> {
-    let doc = msg.to_document();
-    debug_assert!(!doc.contains('\n'), "documents are single-line");
-    stream.write_all(doc.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
-/// Read one newline-framed XML message from a buffered stream; `None` at
-/// EOF. A line longer than [`MAX_FRAME_BYTES`] is rejected with a typed
-/// [`WireError::FrameTooLarge`] (wrapped in `InvalidData`) instead of
-/// letting a malformed peer grow the line buffer without bound.
-pub fn read_msg(reader: &mut impl BufRead) -> std::io::Result<Option<Message>> {
-    let mut line = Vec::new();
-    // Bound the read *before* the allocation happens: a frame that hits the
-    // cap without a newline is hostile or corrupt either way.
-    let n = reader
-        .take(MAX_FRAME_BYTES as u64 + 1)
-        .read_until(b'\n', &mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if n > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            WireError::FrameTooLarge {
-                limit: MAX_FRAME_BYTES,
-                got: n,
-            },
-        ));
-    }
-    let text = std::str::from_utf8(&line)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    Message::decode(text.trim_end())
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
 /// Everything the reactor shares with [`LiveRegistry::inspect`]: the
-/// scheduler core, its decision log, and the armed retransmit timers.
-/// Socket state (buffers, frame readers) is owned exclusively by the
-/// reactor thread and never sits behind this lock.
+/// scheduler core and its decision log. Socket state (buffers, frame
+/// readers) and the armed retransmit timers are owned exclusively by the
+/// reactor thread and never sit behind this lock.
 struct LiveShared {
     core: RegistryCore,
     log: ReschedLog,
-    timers: Vec<(Instant, TimerId)>,
 }
 
 /// Lock the shared state, recovering from poisoning. An inspector that
@@ -221,7 +184,6 @@ impl LiveRegistry {
         let shared = Arc::new(Mutex::new(LiveShared {
             core: RegistryCore::new(cfg, schemas),
             log: ReschedLog::default(),
-            timers: Vec::new(),
         }));
         let epoch = Instant::now();
         let stop = Arc::new(AtomicBool::new(false));
@@ -238,6 +200,10 @@ impl LiveRegistry {
                 conns: HashMap::new(),
                 next_conn: 1,
                 outbound: Vec::new(),
+                timers: Vec::new(),
+                pollfds: Vec::new(),
+                poll_ids: Vec::new(),
+                touched: Vec::new(),
             }
             .run()
         });
@@ -274,17 +240,19 @@ impl LiveRegistry {
     }
 
     /// Stop accepting and wind down (open client connections observe EOF).
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.reactor_thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for LiveRegistry {
+    /// Set `stop`, then wake the reactor out of its `poll(2)` by
+    /// connecting once to its own listener. The wake cannot be lost: if
+    /// the connect fails because the accept backlog is full, the listener
+    /// is already readable and the reactor is not blocked.
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         if let Some(t) = self.reactor_thread.take() {
             let _ = t.join();
         }
@@ -306,7 +274,8 @@ fn apply_log(log: &mut ReschedLog, effect: LogEffect) {
 }
 
 /// Replay core effects, collecting outbound messages into `out` (the
-/// reactor encodes and writes them after the lock is released).
+/// reactor encodes and writes them after the lock is released) and armed
+/// retransmit deadlines into the reactor's `timers`.
 /// [`CoreEffect::StartDecision`] has no CPU to charge here, so due
 /// decisions are fed straight back until the core goes quiet.
 /// `candidate_ctx` carries the (connection, source host) of an in-flight
@@ -315,6 +284,7 @@ fn apply_log(log: &mut ReschedLog, effect: LogEffect) {
 /// requesting registry would log on its side.
 fn pump(
     shared: &mut LiveShared,
+    timers: &mut Vec<(Instant, TimerId)>,
     now: SimTime,
     effects: &mut Vec<CoreEffect>,
     candidate_ctx: Option<(u64, &str)>,
@@ -343,7 +313,7 @@ fn pump(
                 CoreEffect::StartDecision { source, .. } => due.push(source),
                 CoreEffect::ArmTimer { timer, after } => {
                     let deadline = Instant::now() + Duration::from_secs_f64(after.as_secs_f64());
-                    shared.timers.push((deadline, timer));
+                    timers.push((deadline, timer));
                 }
                 CoreEffect::Trace { .. } => {}
                 CoreEffect::Log(log) => apply_log(&mut shared.log, log),
@@ -391,19 +361,20 @@ impl Conn {
         }
     }
 
-    /// Flush pending bytes; returns true if any progress was made.
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
-        while self.out_pos < self.out.len() {
+    /// Whether encoded bytes are still waiting for the socket.
+    fn has_pending(&self) -> bool {
+        self.out_pos < self.out.len()
+    }
+
+    /// Write as many pending bytes as the socket takes without blocking.
+    fn flush(&mut self) {
+        while self.has_pending() {
             match self.stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => {
                     self.dead = true;
                     break;
                 }
-                Ok(n) => {
-                    self.out_pos += n;
-                    progressed = true;
-                }
+                Ok(n) => self.out_pos += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -412,14 +383,60 @@ impl Conn {
                 }
             }
         }
-        if self.out_pos == self.out.len() {
+        if !self.has_pending() {
             self.out.clear();
             self.out_pos = 0;
         } else if self.out_pos > 64 * 1024 && self.out_pos * 2 >= self.out.len() {
             self.out.drain(..self.out_pos);
             self.out_pos = 0;
         }
-        progressed
+    }
+}
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    fn new(fd: &impl AsRawFd, events: i16) -> PollFd {
+        let fd = fd.as_raw_fd();
+        PollFd {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+
+#[cfg(target_os = "linux")]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: std::ffi::c_int) -> std::ffi::c_int;
+}
+
+/// Block until a descriptor in `fds` is ready or `timeout_ms` elapses
+/// (`-1`: no timeout), filling in every `revents`.
+fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<()> {
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+    // pollfd records and `nfds` is its exact length, so the kernel reads
+    // and writes only inside it, and keeps no pointer after returning.
+    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
+    if n < 0 {
+        Err(std::io::Error::last_os_error())
+    } else {
+        Ok(())
     }
 }
 
@@ -436,56 +453,78 @@ struct Reactor {
     /// Scratch list of (connection, message) produced under the shared
     /// lock each tick, encoded into per-connection buffers after.
     outbound: Vec<(u64, Message)>,
+    /// Armed core retransmit timers (wall deadline, timer).
+    timers: Vec<(Instant, TimerId)>,
+    /// The last wait's poll set: the listener first, then one record per
+    /// connection in `poll_ids` order. Reused across ticks.
+    pollfds: Vec<PollFd>,
+    poll_ids: Vec<u64>,
+    /// Connections to flush (and reap if dead) at the end of this tick:
+    /// those that gained outbound bytes or died. May hold duplicates.
+    touched: Vec<u64>,
 }
-
-/// Idle ticks at the short nap before the reactor backs off to the long
-/// one (~16 ms of confirmed quiet).
-const IDLE_TICKS_TO_BACKOFF: u32 = 16;
-/// Nap while recently active: keeps reaction latency ~1 ms under load
-/// gaps.
-const IDLE_NAP_SHORT: Duration = Duration::from_millis(1);
-/// Nap once confirmed idle: a parked registry costs ~100 wakeups/s
-/// instead of ~1000. Any traffic resets to the short nap immediately
-/// (the tick that read it doesn't sleep at all).
-const IDLE_NAP_LONG: Duration = Duration::from_millis(10);
 
 impl Reactor {
     fn run(mut self) {
         let mut rbuf = vec![0u8; 64 * 1024];
-        let mut idle_ticks: u32 = 0;
-        while !self.stop.load(Ordering::Relaxed) {
-            let mut progressed = false;
-            progressed |= self.accept_new();
-            self.fire_due_timers();
-            progressed |= self.drain_readable(&mut rbuf);
-            self.flush_and_reap();
-            if !self.outbound.is_empty() {
-                progressed = true;
+        loop {
+            self.wait();
+            if self.stop.load(Ordering::Acquire) {
+                break;
             }
-            if progressed {
-                idle_ticks = 0;
+            if self.pollfds[0].revents != 0 {
+                self.accept_new();
+            }
+            self.fire_due_timers();
+            self.drain_readable(&mut rbuf);
+            self.flush_and_reap();
+        }
+    }
+
+    /// The reactor's one wait: a `poll(2)` over the listener and every
+    /// connection, until one is ready or the earliest retransmit timer is
+    /// due. Connections ask for `POLLOUT` only while they hold unflushed
+    /// bytes — on an idle socket it would be ready at once and spin.
+    fn wait(&mut self) {
+        self.pollfds.clear();
+        self.poll_ids.clear();
+        self.pollfds.push(PollFd::new(&self.listener, POLLIN));
+        for (&conn, c) in &self.conns {
+            let events = if c.has_pending() {
+                POLLIN | POLLOUT
             } else {
-                // Idle tick: nothing accepted, read or written. Nap
-                // instead of spinning the scan loop at 100% CPU; after a
-                // stretch of confirmed-idle ticks, back off to the long
-                // nap so a quiet registry barely wakes at all.
-                idle_ticks = idle_ticks.saturating_add(1);
-                std::thread::sleep(if idle_ticks >= IDLE_TICKS_TO_BACKOFF {
-                    IDLE_NAP_LONG
-                } else {
-                    IDLE_NAP_SHORT
-                });
+                POLLIN
+            };
+            self.pollfds.push(PollFd::new(&c.stream, events));
+            self.poll_ids.push(conn);
+        }
+        loop {
+            let timeout_ms = self.poll_timeout_ms();
+            match poll_fds(&mut self.pollfds, timeout_ms) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                // Any other failure leaves every `revents` zero: the tick
+                // finds nothing ready and the next wait retries.
+                _ => return,
             }
         }
     }
 
+    /// Milliseconds until the earliest armed timer, rounded up so the
+    /// wait never ends before it is due; `-1` (no timeout) when none is
+    /// armed. Reads only reactor-owned state, never the shared lock.
+    fn poll_timeout_ms(&self) -> i32 {
+        let Some(earliest) = self.timers.iter().map(|&(deadline, _)| deadline).min() else {
+            return -1;
+        };
+        let wait = earliest.saturating_duration_since(Instant::now());
+        i32::try_from(wait.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+    }
+
     /// Accept every pending connection (the listener is non-blocking).
-    fn accept_new(&mut self) -> bool {
-        let mut any = false;
+    fn accept_new(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    any = true;
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -510,18 +549,13 @@ impl Reactor {
                 Err(_) => break,
             }
         }
-        any
     }
 
     /// Fire retransmit timers whose deadline has passed.
     fn fire_due_timers(&mut self) {
-        let mut s = lock_shared(&self.shared);
-        if s.timers.is_empty() {
-            return;
-        }
         let wall = Instant::now();
         let mut fired = Vec::new();
-        s.timers.retain(|&(deadline, timer)| {
+        self.timers.retain(|&(deadline, timer)| {
             if deadline <= wall {
                 fired.push(timer);
                 false
@@ -529,30 +563,39 @@ impl Reactor {
                 true
             }
         });
+        if fired.is_empty() {
+            return;
+        }
+        let (timers, out) = (&mut self.timers, &mut self.outbound);
+        let mut s = lock_shared(&self.shared);
         let now = now_since(self.epoch);
         for timer in fired {
             let mut fx = Vec::new();
             s.core.handle(now, CoreInput::TimerFired(timer), &mut fx);
-            pump(&mut s, now, &mut fx, None, &mut self.outbound);
+            pump(&mut s, timers, now, &mut fx, None, out);
         }
         drop(s);
         self.route_outbound();
     }
 
-    /// Read every readable socket, decode complete frames, and feed the
-    /// decoded batch through the core. Returns true if any bytes moved.
-    fn drain_readable(&mut self, rbuf: &mut [u8]) -> bool {
-        let mut any = false;
+    /// Read every socket the last wait reported readable or hung up,
+    /// decode complete frames, and feed the decoded batch through the
+    /// core. Idle connections cost no syscall.
+    fn drain_readable(&mut self, rbuf: &mut [u8]) {
         // Decoded batch for this tick: (conn, decode result). Processing
         // is deferred so the shared lock is taken once per tick, not once
         // per message — that batching is what keeps 10k heartbeating
         // connections from serializing on the mutex.
         let mut batch: Vec<(u64, Result<Message, WireError>)> = Vec::new();
         let timing = self.obs.is_enabled();
-        for (&conn, c) in self.conns.iter_mut() {
-            if c.dead {
+        for (pfd, &conn) in self.pollfds[1..].iter().zip(&self.poll_ids) {
+            if pfd.revents & (POLLIN | POLLHUP | POLLERR) == 0 {
                 continue;
             }
+            let c = match self.conns.get_mut(&conn) {
+                Some(c) if !c.dead => c,
+                _ => continue,
+            };
             loop {
                 match c.stream.read(rbuf) {
                     Ok(0) => {
@@ -560,7 +603,6 @@ impl Reactor {
                         break;
                     }
                     Ok(n) => {
-                        any = true;
                         c.frames.push(&rbuf[..n]);
                         let had_codec = c.codec.is_some();
                         loop {
@@ -607,17 +649,19 @@ impl Reactor {
                     break;
                 }
             }
+            if c.dead {
+                self.touched.push(conn);
+            }
         }
         if !batch.is_empty() {
             self.process_batch(batch);
         }
-        any
     }
 
     /// Feed one tick's decoded messages through the core under a single
     /// lock acquisition, collecting replies into `self.outbound`.
     fn process_batch(&mut self, batch: Vec<(u64, Result<Message, WireError>)>) {
-        let out = &mut self.outbound;
+        let (timers, out) = (&mut self.timers, &mut self.outbound);
         let mut s = lock_shared(&self.shared);
         for (conn, decoded) in batch {
             let now = now_since(self.epoch);
@@ -638,90 +682,39 @@ impl Reactor {
                 }
                 Err(_) => continue, // fatal: connection is already marked dead
             };
-            let mut fx = Vec::new();
-            match msg {
-                Message::Register { host, role } => {
-                    let name = host.name.clone();
-                    s.core.handle(
-                        now,
-                        CoreInput::Message {
-                            from: Endpoint(conn),
-                            msg: Message::Register { host, role },
-                        },
-                        &mut fx,
-                    );
-                    pump(&mut s, now, &mut fx, None, out);
-                    out.push((
-                        conn,
-                        Message::Ack {
-                            ok: true,
-                            info: format!("registered {name}"),
-                        },
-                    ));
-                }
-                Message::Heartbeat { .. } => {
-                    let host = match &msg {
-                        Message::Heartbeat { host, .. } => host.clone(),
-                        _ => unreachable!("matched above"),
+            // The transport-level reply, if any, and whether it precedes
+            // what the core pushes. A heartbeat's caller reads exactly one
+            // reply, so its ack goes first; anything the core pushes — a
+            // MigrationCommand to a commander connection, a ReRegister
+            // nudge to this one — follows on the respective streams. A
+            // candidate request's reply is the CandidateReply the core
+            // sends back; fire-and-forget inputs get no reply at all.
+            let mut candidate_source = None;
+            let (mut reply, reply_first) = match &msg {
+                Message::Register { host, .. } => (
+                    Some(Message::Ack {
+                        ok: true,
+                        info: format!("registered {}", host.name),
+                    }),
+                    false,
+                ),
+                Message::Heartbeat { host, .. } => {
+                    let known = s.core.knows_host(host);
+                    let info = if known {
+                        String::new()
+                    } else {
+                        format!("{host} is not registered")
                     };
-                    let known = s.core.knows_host(&host);
-                    s.core.handle(
-                        now,
-                        CoreInput::Message {
-                            from: Endpoint(conn),
-                            msg,
-                        },
-                        &mut fx,
-                    );
-                    // Ack first: the heartbeat's caller reads exactly one
-                    // reply. Anything the core pushes — a MigrationCommand
-                    // to a commander connection, a ReRegister nudge to this
-                    // one — follows on the respective streams afterwards.
-                    out.push((
-                        conn,
-                        Message::Ack {
-                            ok: known,
-                            info: if known {
-                                String::new()
-                            } else {
-                                format!("{host} is not registered")
-                            },
-                        },
-                    ));
-                    pump(&mut s, now, &mut fx, None, out);
+                    (Some(Message::Ack { ok: known, info }), true)
                 }
-                Message::CandidateRequest { .. } => {
-                    let source = match &msg {
-                        Message::CandidateRequest { host, .. } => host.clone(),
-                        _ => unreachable!("matched above"),
-                    };
-                    s.core.handle(
-                        now,
-                        CoreInput::Message {
-                            from: Endpoint(conn),
-                            msg,
-                        },
-                        &mut fx,
-                    );
-                    // The reply is the CandidateReply the core sends back
-                    // to this connection — no transport-level ack.
-                    pump(&mut s, now, &mut fx, Some((conn, source.as_str())), out);
+                Message::CandidateRequest { host, .. } => {
+                    candidate_source = Some(host.clone());
+                    (None, false)
                 }
                 Message::CommandAck { .. }
                 | Message::MigrationComplete { .. }
                 | Message::CandidateReply { .. }
-                | Message::DomainReport { .. } => {
-                    // Fire-and-forget inputs: feed the core, reply nothing.
-                    s.core.handle(
-                        now,
-                        CoreInput::Message {
-                            from: Endpoint(conn),
-                            msg,
-                        },
-                        &mut fx,
-                    );
-                    pump(&mut s, now, &mut fx, None, out);
-                }
+                | Message::DomainReport { .. } => (None, false),
                 other => {
                     out.push((
                         conn,
@@ -730,8 +723,19 @@ impl Reactor {
                             info: format!("unexpected {}", other.type_tag()),
                         },
                     ));
+                    continue;
                 }
+            };
+            let mut fx = Vec::new();
+            let from = Endpoint(conn);
+            s.core
+                .handle(now, CoreInput::Message { from, msg }, &mut fx);
+            if reply_first {
+                out.extend(reply.take().map(|m| (conn, m)));
             }
+            let ctx = candidate_source.as_deref().map(|source| (conn, source));
+            pump(&mut s, timers, now, &mut fx, ctx, out);
+            out.extend(reply.map(|m| (conn, m)));
         }
         drop(s);
         self.route_outbound();
@@ -739,29 +743,42 @@ impl Reactor {
 
     /// Encode collected outbound messages into their connections' write
     /// buffers (messages to already-gone peers are dropped silently, as
-    /// the blocking server did).
+    /// the blocking server did). A connection that already held pending
+    /// bytes is flushed when the wait reports it writable.
     fn route_outbound(&mut self) {
         for (conn, msg) in self.outbound.drain(..) {
             if let Some(c) = self.conns.get_mut(&conn) {
+                let was_idle = !c.has_pending();
                 c.queue(&msg, &self.options);
+                if was_idle || c.dead {
+                    self.touched.push(conn);
+                }
             }
         }
     }
 
-    /// Flush every connection's pending bytes and reap dead connections
-    /// (a dying connection still gets one final flush so a protocol-error
-    /// ack has a chance to reach the peer before the close).
+    /// Flush the connections that gained bytes or died this tick, and
+    /// those the last wait reported writable, then reap the dead among
+    /// them (a dying connection still gets one final flush so a
+    /// protocol-error ack has a chance to reach the peer before the
+    /// close).
     fn flush_and_reap(&mut self) {
+        for (pfd, &conn) in self.pollfds[1..].iter().zip(&self.poll_ids) {
+            if pfd.revents & POLLOUT != 0 {
+                self.touched.push(conn);
+            }
+        }
         let mut reaped = 0u64;
-        self.conns.retain(|_, c| {
+        for conn in self.touched.drain(..) {
+            let Some(c) = self.conns.get_mut(&conn) else {
+                continue;
+            };
             c.flush();
             if c.dead {
+                self.conns.remove(&conn);
                 reaped += 1;
-                false
-            } else {
-                true
             }
-        });
+        }
         if reaped > 0 {
             self.obs.add("live_disconnects", reaped);
         }

@@ -639,3 +639,83 @@ fn batched_heartbeats_use_one_write_and_all_frames_land() {
     });
     registry.shutdown();
 }
+
+/// An unacknowledged migration command is retransmitted once its ack
+/// timeout passes, with no further bytes from any peer: the reactor's
+/// wait ends on the earliest core timer, not only on socket traffic.
+#[test]
+fn an_unacked_command_is_retransmitted_while_every_peer_is_silent() {
+    use ars_rescheduler::{RegistryConfig, SchemaBook};
+    use ars_rules::Policy;
+    use ars_simcore::SimDuration;
+    use ars_xmlwire::{ApplicationSchema, ProcReport};
+    use std::time::{Duration, Instant};
+
+    const ACK_TIMEOUT: Duration = Duration::from_millis(200);
+    let mut cfg = RegistryConfig::new(Policy::paper_policy2());
+    cfg.name = "live".to_string();
+    cfg.ack_timeout = SimDuration::from_secs_f64(ACK_TIMEOUT.as_secs_f64());
+    let schemas = SchemaBook::new();
+    schemas.put(ApplicationSchema::compute("tree", 600.0));
+    let registry = LiveRegistry::start_with(cfg, schemas).expect("bind");
+    let addr = registry.addr();
+
+    let beat = |client: &mut LiveClient, name: &str, state: HostState, load: f64| {
+        let mut metrics = Metrics::new();
+        metrics.set("loadAvg1", load);
+        metrics.set("nproc", 10.0);
+        let procs = if state == HostState::Overloaded {
+            vec![ProcReport {
+                pid: 7,
+                app: "tree".to_string(),
+                start_time_s: 0.0,
+                est_exec_time_s: 600.0,
+            }]
+        } else {
+            vec![]
+        };
+        let reply = client
+            .call(&Message::Heartbeat {
+                host: name.to_string(),
+                state,
+                metrics,
+                procs,
+            })
+            .expect("heartbeat");
+        assert!(matches!(reply, Message::Ack { ok: true, .. }));
+    };
+
+    let mut dst = LiveClient::connect(addr).unwrap();
+    register(&mut dst, "dst");
+    beat(&mut dst, "dst", HostState::Free, 0.2);
+    let mut src = LiveClient::connect(addr).unwrap();
+    let mut cmd = LiveClient::connect(addr).unwrap();
+    register(&mut src, "src");
+    let reply = cmd
+        .call(&Message::Register {
+            host: statics("src"),
+            role: EntityRole::Commander,
+        })
+        .unwrap();
+    assert!(matches!(reply, Message::Ack { ok: true, .. }));
+
+    // One overloaded heartbeat, then silence on every connection.
+    beat(&mut src, "src", HostState::Overloaded, 2.5);
+    cmd.set_call_timeout(ACK_TIMEOUT + Duration::from_secs(2))
+        .unwrap();
+    let first = cmd.recv().expect("the migration command");
+    assert!(
+        matches!(&first, Message::MigrationCommand { pid: 7, dest, .. } if dest == "dst"),
+        "unexpected push {first:?}"
+    );
+    let sent_at = Instant::now();
+    let again = cmd.recv().expect("a retransmit while every peer is silent");
+    let waited = sent_at.elapsed();
+    assert_eq!(again, first, "the retransmit repeats the command");
+    assert!(
+        waited >= ACK_TIMEOUT / 2 && waited <= ACK_TIMEOUT + Duration::from_secs(1),
+        "retransmit after {waited:?}, ack timeout {ACK_TIMEOUT:?}"
+    );
+    assert!(registry.log().command_retransmits >= 1);
+    registry.shutdown();
+}

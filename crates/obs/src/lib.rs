@@ -599,11 +599,12 @@ impl ObsCore {
 /// single branch and the event-building closure is never run. See the
 /// module docs for the full zero-cost/determinism contract. The handle is
 /// `Arc`-shared and `Send`: the simulation is single-threaded, but the
-/// same handle also instruments the live TCP registry, whose connection
-/// handlers run on worker threads. A recording session that panics while
-/// holding the lock is recovered from (metrics are monotonic aggregates;
-/// the worst a recovered lock exposes is a half-updated counter, not
-/// corruption), so one bad observer never bricks the run.
+/// same handle also instruments the live TCP registry, whose single
+/// reactor thread records while the thread that started the registry
+/// reads. A recording session that panics while holding the lock is
+/// recovered from (metrics are monotonic aggregates; the worst a
+/// recovered lock exposes is a half-updated counter, not corruption), so
+/// one bad observer never bricks the run.
 #[derive(Clone, Default)]
 pub struct Obs(Option<Arc<Mutex<ObsCore>>>);
 

@@ -36,6 +36,12 @@ echo "== wire smoke (256 conns per codec) =="
 # stable relative timings).
 timeout 120 ./target/release/bench_wire --smoke
 
+echo "== repository benchmark gates =="
+# The benchmark package is a workspace of its own: its fidelity gates
+# (bench-built deployments trace-identical to the library's) and the tiny
+# smoke runs of every workload, live_fanin included.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== chaos matrix =="
 # The chaos suite already runs once (default seeds) as part of the
 # workspace tests above; this pass widens the seeded fault-schedule matrix.
